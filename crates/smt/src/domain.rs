@@ -54,6 +54,13 @@ impl Domain {
         Domain { values }
     }
 
+    /// Domain from values already sorted ascending and distinct, such as
+    /// the survivors of probing another domain (no re-sort).
+    pub(crate) fn from_sorted(values: Vec<i64>) -> Self {
+        debug_assert!(values.windows(2).all(|w| w[0] < w[1]));
+        Domain { values }
+    }
+
     /// Domain holding exactly one value.
     pub fn singleton(v: i64) -> Self {
         Domain { values: vec![v] }

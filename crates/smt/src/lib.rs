@@ -49,6 +49,7 @@ mod domain;
 mod expr;
 mod interval;
 mod model;
+mod probe;
 pub mod reference;
 mod search;
 mod smtlib;

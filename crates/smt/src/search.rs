@@ -26,6 +26,7 @@ use crate::domain::Domain;
 use crate::expr::{BoolExpr, BoolNode, IntExpr, IntNode, VarId};
 use crate::interval::Interval;
 use crate::model::Model;
+use crate::probe::{constraint_probes, objective_probe, survivors, Probe, Test, PROBE_LIMIT};
 use crate::solver::{budget_stop, SolverConfig, StopReason};
 use crate::stats::SolverStats;
 use crate::trail::Trail;
@@ -44,10 +45,6 @@ pub(crate) enum Tri {
 /// that a 10 ms deadline is honoured promptly, rare enough that
 /// `Instant::now` stays off the hot path.
 const BUDGET_POLL_PERIOD: u64 = 64;
-
-/// Domains larger than this are filtered by hull reasoning only; exact
-/// per-value probing is reserved for small domains where it pays off.
-const PROBE_LIMIT: usize = 4096;
 
 /// An objective being maximized under an incumbent. The search treats
 /// `objective > incumbent` as a *virtual constraint*: it sits in the
@@ -102,6 +99,8 @@ pub(crate) struct Search<'a> {
     /// narrowing, restored from the trailed domain on backtrack.
     hulls: Vec<Interval>,
     trail: Trail,
+    /// Per constraint, how each of its variables is probed.
+    probes: Vec<Vec<Probe>>,
     /// Constraint indices watching each variable.
     watchers: Vec<Vec<u32>>,
     /// Dirty-constraint worklist plus its membership flags.
@@ -114,6 +113,8 @@ pub(crate) struct Search<'a> {
     bound: Option<ObjectiveBound<'a>>,
     /// Variables of the bound objective (watch the virtual constraint).
     bound_vars: Vec<VarId>,
+    /// How `bound_vars` are probed against the incumbent.
+    bound_probe: Probe,
     /// Branch-and-bound mode: an improving leaf does not end the search —
     /// it becomes the new incumbent and the search continues, so one
     /// exhaustive pass proves optimality (no restart per improvement).
@@ -158,8 +159,12 @@ impl<'a> Search<'a> {
         // The only full O(V) hull construction in a check: every later
         // update is per-variable. `SolverStats::hull_rebuilds` counts these
         // so a regression back to per-round rebuilds is detectable.
-        let hulls: Vec<Interval> = domains.iter().map(Domain::hull).collect();
+        let mut hulls: Vec<Interval> = domains.iter().map(Domain::hull).collect();
         stats.hull_rebuilds += 1;
+        let probes = constraints
+            .iter()
+            .map(|(c, vars)| constraint_probes(c, vars, &domains, &mut hulls))
+            .collect();
         let mut watchers = vec![Vec::new(); names.len()];
         for (ci, (_, vars)) in constraints.iter().enumerate() {
             for v in vars {
@@ -176,6 +181,10 @@ impl<'a> Search<'a> {
                 watchers[v.index()].push(constraints.len() as u32);
             }
         }
+        let bound_probe = match &bound {
+            Some(b) => objective_probe(b.objective, &domains),
+            None => Probe::Linear,
+        };
         let nodes_at_entry = stats.nodes;
         Search {
             names,
@@ -185,6 +194,7 @@ impl<'a> Search<'a> {
             domains,
             hulls,
             trail: Trail::new(names.len()),
+            probes,
             watchers,
             queue: VecDeque::with_capacity(constraints.len() + 1),
             in_queue: vec![false; constraints.len() + 1],
@@ -194,6 +204,7 @@ impl<'a> Search<'a> {
             stop: None,
             bound,
             bound_vars,
+            bound_probe,
             optimize,
             best: None,
             improvements: 0,
@@ -425,8 +436,9 @@ impl<'a> Search<'a> {
     }
 
     /// Revises one constraint: entailment check by hulls, then exact
-    /// per-value probing of each small domain it watches. Returns `false`
-    /// on a wiped-out domain or a disentailed constraint.
+    /// per-value probing of each small domain it watches (see
+    /// [`crate::probe`]). Returns `false` on a wiped-out domain or a
+    /// disentailed constraint.
     fn revise(&mut self, ci: usize) -> bool {
         // Re-borrow the constraint slice at its own lifetime so the watched
         // variables stay readable while `self` is mutated below.
@@ -437,32 +449,26 @@ impl<'a> Search<'a> {
             Tri::True => return true,
             Tri::Unknown => {}
         }
-        for &var in vars {
+        for (k, &var) in vars.iter().enumerate() {
             let idx = var.index();
             let len = self.domains[idx].len();
             if len <= 1 || len > PROBE_LIMIT {
                 continue;
             }
-            // Probe each candidate by pinning this variable's hull to a
-            // singleton *in place* — no `hulls.clone()` per variable.
-            let saved_hull = self.hulls[idx];
-            let mut kept: Vec<i64> = Vec::with_capacity(len);
-            for v in self.domains[idx].iter() {
-                self.hulls[idx] = Interval::singleton(v);
-                if tri_bool(constraint, &self.hulls) != Tri::False {
-                    kept.push(v);
-                }
-            }
-            self.hulls[idx] = saved_hull;
-            if kept.len() == len {
+            let Some(kept) = survivors(
+                &mut self.hulls,
+                self.domains[idx].values(),
+                idx,
+                Test::Holds(constraint),
+                &self.probes[ci][k],
+            ) else {
                 continue;
-            }
+            };
             self.stats.values_pruned += (len - kept.len()) as u64;
             if kept.is_empty() {
                 return false;
             }
-            // `kept` preserves the domain's sorted order.
-            self.narrow(idx, Domain::from_values(kept));
+            self.narrow(idx, Domain::from_sorted(kept));
         }
         true
     }
@@ -493,24 +499,21 @@ impl<'a> Search<'a> {
             if len <= 1 || len > PROBE_LIMIT {
                 continue;
             }
-            let saved_hull = self.hulls[idx];
-            let mut kept: Vec<i64> = Vec::with_capacity(len);
-            for v in self.domains[idx].iter() {
-                self.hulls[idx] = Interval::singleton(v);
-                if bounds(objective, &self.hulls).hi() > incumbent {
-                    kept.push(v);
-                }
-            }
-            self.hulls[idx] = saved_hull;
-            if kept.len() == len {
+            let Some(kept) = survivors(
+                &mut self.hulls,
+                self.domains[idx].values(),
+                idx,
+                Test::Beats(objective, incumbent),
+                &self.bound_probe,
+            ) else {
                 continue;
-            }
+            };
             self.stats.values_pruned += (len - kept.len()) as u64;
             if kept.is_empty() {
                 self.stats.bound_prunes += 1;
                 return false;
             }
-            self.narrow(idx, Domain::from_values(kept));
+            self.narrow(idx, Domain::from_sorted(kept));
         }
         true
     }

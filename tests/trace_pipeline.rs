@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use eatss::{Eatss, EatssConfig, SweepOptions};
+use eatss::{Eatss, EatssConfig, SolutionProvenance, SweepOptions};
 use eatss_affine::parser::parse_program;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
@@ -76,6 +76,44 @@ fn registry_counters_match_solver_stats() {
         "smt.solve_time_us {flowed_us} vs exact {total_us} ({} checks)",
         st.checks
     );
+}
+
+/// A warm-started sweep flows its warm-start counters into the registry:
+/// the registry totals equal the sum over its solutions' `SolverStats`.
+#[test]
+fn registry_warm_counters_match_warm_sweep() {
+    let _guard = session();
+    let program = mm();
+    let sz = sizes(2000, 2000, 2000);
+    let options = SweepOptions {
+        jobs: 1,
+        ..SweepOptions::default()
+    };
+    eatss_trace::start_collecting();
+    let outcome = Eatss::new(GpuArch::ga100())
+        .sweep_with(&program, &sz, &[0.67, 0.5, 0.0], &[0.5], &options)
+        .expect("mm sweeps");
+    let trace = eatss_trace::drain(Provenance::collect(Some(1)));
+    // Every point solved on the first rung, so the points' stats cover
+    // every maximize the sweep ran.
+    assert_eq!(outcome.points.len(), 6);
+    assert!(outcome
+        .points
+        .iter()
+        .all(|p| p.solution.provenance == SolutionProvenance::Solved));
+    let seeds: u64 = outcome
+        .points
+        .iter()
+        .map(|p| p.solution.stats.warm_seeds)
+        .sum();
+    let hits: u64 = outcome
+        .points
+        .iter()
+        .map(|p| p.solution.stats.warm_cut_hits)
+        .sum();
+    assert!(seeds > 0, "no point of the chain was warm-seeded");
+    assert_eq!(trace.metrics.counter("smt.warm_seeds"), seeds);
+    assert_eq!(trace.metrics.counter("smt.warm_cut_hits"), hits);
 }
 
 /// A full selection + evaluation covers every pipeline stage, the span
