@@ -19,7 +19,7 @@
 //!
 //! The module-level entry points ([`run_program`], [`run_kernel`],
 //! [`run_kernel_tiled`]) compile each kernel into an
-//! [`ExecPlan`](crate::plan::ExecPlan) — arrays resolved to dense store
+//! [`ExecPlan`] — arrays resolved to dense store
 //! slots, subscripts lowered to linear address functions, right-hand
 //! sides flattened to postfix opcode tapes — and execute through the
 //! plan. The original tree-walking interpreter is retained verbatim in
@@ -27,6 +27,7 @@
 //! is differentially proven to produce bitwise-identical stores.
 
 use crate::ir::{ArrayRef, Kernel, Program};
+use crate::plan::{ExecPlan, NoRoutes, RowScratch};
 use crate::tiling::TiledNest;
 use crate::ProblemSizes;
 use std::collections::BTreeMap;
@@ -378,7 +379,7 @@ pub fn run_program(
 }
 
 /// Executes one kernel in lexicographic iteration order through a
-/// compiled [`ExecPlan`](crate::plan::ExecPlan). Kernels the plan
+/// compiled [`ExecPlan`]. Kernels the plan
 /// compiler cannot lower (rank or expression depth beyond its fixed
 /// buffers) fall back to [`reference::run_kernel`]; results are bitwise
 /// identical either way.
@@ -398,7 +399,7 @@ pub fn run_kernel(
     if trips.iter().any(|&t| t <= 0) {
         return Ok(());
     }
-    let plan = match crate::plan::ExecPlan::compile(kernel, &trips, store) {
+    let plan = match ExecPlan::compile(kernel, &trips, store) {
         Some(plan) => plan,
         None => return reference::run_kernel(kernel, sizes, store),
     };
@@ -407,33 +408,12 @@ pub fn run_kernel(
 }
 
 /// Runs a compiled plan over its whole (non-empty-trip) iteration space
-/// in lexicographic order, the innermost dimension as a plan row.
-fn drive_plan(plan: &crate::plan::ExecPlan, trips: &[i64], store: &mut Store) {
+/// in lexicographic order: one loop nest, the innermost dimension as a
+/// plan row.
+fn drive_plan(plan: &ExecPlan, trips: &[i64], store: &mut Store) {
+    let loops: Vec<(usize, i64, i64)> = trips.iter().enumerate().map(|(d, &t)| (d, t, 1)).collect();
     let mut point = vec![0i64; trips.len()];
-    if point.is_empty() {
-        plan.exec_point(store, &point);
-        return;
-    }
-    // The innermost dimension runs as a row: linear addresses advance by
-    // a precomputed stride instead of being re-derived per point.
-    let mut scratch = plan.scratch();
-    let last = trips.len() - 1;
-    loop {
-        point[last] = 0;
-        plan.exec_row(store, &mut point, last, trips[last], 1, &mut scratch);
-        let mut d = last;
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            point[d] += 1;
-            if point[d] < trips[d] {
-                break;
-            }
-            point[d] = 0;
-        }
-    }
+    plan.exec_nest(store, &mut point, &loops, &mut plan.scratch(), &mut NoRoutes);
 }
 
 /// The `(name, slot, extents)` layout fingerprint compiled plans depend
@@ -474,7 +454,7 @@ impl crate::plan::BatchPlan {
             let plan = if trips.iter().any(|&t| t <= 0) {
                 None
             } else {
-                crate::plan::ExecPlan::compile(kernel, &trips, store)
+                ExecPlan::compile(kernel, &trips, store)
             };
             kernels.push((trips, plan));
         }
@@ -571,14 +551,10 @@ pub fn run_kernel_tiled(
     if trips.iter().any(|&t| t <= 0) {
         return Ok(());
     }
-    let plan = match crate::plan::ExecPlan::compile(kernel, &trips, store) {
+    let plan = match ExecPlan::compile(kernel, &trips, store) {
         Some(plan) => plan,
         None => return reference::run_kernel_tiled(nest, sizes, store),
     };
-    if trips.is_empty() {
-        plan.exec_point(store, &[]);
-        return Ok(());
-    }
     let mut scratch = plan.scratch();
     let mut origin = vec![0i64; trips.len()];
     tiled_tiles(nest, &plan, &mut scratch, store, &trips, 0, &mut origin);
@@ -586,19 +562,25 @@ pub fn run_kernel_tiled(
 }
 
 /// Tile loops of the tiled execution order: recurse over tile origins,
-/// then run the points of each tile (innermost dimension as a plan row).
+/// then run each tile's points as one loop nest over the tile box, its
+/// accesses proven once per tile.
 fn tiled_tiles(
     nest: &TiledNest,
-    plan: &crate::plan::ExecPlan,
-    scratch: &mut crate::plan::RowScratch,
+    plan: &ExecPlan,
+    scratch: &mut RowScratch,
     store: &mut Store,
     trips: &[i64],
     dim: usize,
     origin: &mut Vec<i64>,
 ) {
     if dim == trips.len() {
-        let mut point = origin.clone();
-        tiled_points(nest, plan, scratch, store, trips, 0, origin, &mut point);
+        let bx: Vec<(i64, i64)> = (0..dim)
+            .map(|d| (origin[d], trips[d].min(origin[d] + nest.tile(d)) - 1))
+            .collect();
+        let loops: Vec<(usize, i64, i64)> =
+            bx.iter().enumerate().map(|(d, &(lo, hi))| (d, hi - lo + 1, 1)).collect();
+        plan.linearize(&bx, scratch, &mut NoRoutes);
+        plan.exec_nest(store, origin, &loops, scratch, &mut NoRoutes);
         return;
     }
     let step = nest.tile(dim);
@@ -607,29 +589,6 @@ fn tiled_tiles(
         origin[dim] = t;
         tiled_tiles(nest, plan, scratch, store, trips, dim + 1, origin);
         t += step;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn tiled_points(
-    nest: &TiledNest,
-    plan: &crate::plan::ExecPlan,
-    scratch: &mut crate::plan::RowScratch,
-    store: &mut Store,
-    trips: &[i64],
-    dim: usize,
-    origin: &[i64],
-    point: &mut Vec<i64>,
-) {
-    let upper = trips[dim].min(origin[dim] + nest.tile(dim));
-    if dim == trips.len() - 1 {
-        point[dim] = origin[dim];
-        plan.exec_row(store, point, dim, upper - origin[dim], 1, scratch);
-        return;
-    }
-    for v in origin[dim]..upper {
-        point[dim] = v;
-        tiled_points(nest, plan, scratch, store, trips, dim + 1, origin, point);
     }
 }
 

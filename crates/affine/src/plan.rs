@@ -21,10 +21,17 @@
 //!   the tree-walker's evaluation order, so reads happen in the same
 //!   sequence (observable through routed reads).
 //!
+//! Executors hand the plan whole loop nests ([`ExecPlan::exec_nest`]);
+//! the innermost loop runs as a row of cursor walks. Before a nest, an
+//! executor may prove the accesses over the nest's point box
+//! ([`ExecPlan::linearize`]): checked reads that stay in bounds there
+//! become direct walks too.
+//!
 //! External executors (the `eatss-ppcg` GPU emulator) can pre-route
 //! individual reads to a [`RouteSource`], resolving its
 //! staged-shared-memory matching once at compile time instead of per
-//! read per point. `RouteSource` is the compiled analogue of
+//! read per point, and linearizing its buffer once per point box.
+//! `RouteSource` is the compiled analogue of
 //! [`ReadHook`](crate::interp::ReadHook).
 //!
 //! `compile` returns `None` for shapes outside the plan's fixed buffers
@@ -52,7 +59,7 @@ static SIMD_ENABLED: AtomicBool = AtomicBool::new(true);
 /// Enables or disables the chunked (SIMD-style) row loop globally.
 ///
 /// The vector path is only ever taken where it is provably bitwise
-/// identical to the scalar loop (see [`ExecPlan::exec_row`]), so this
+/// identical to the scalar loop (see [`ExecPlan::exec_nest`]), so this
 /// switch can never change results — it exists so differential tests
 /// can compare both paths on identical inputs.
 pub fn set_simd_enabled(enabled: bool) {
@@ -90,18 +97,20 @@ pub trait RouteSource {
     /// Produces the value of a routed read.
     fn read(&mut self, route: usize, index: &[i64]) -> f64;
 
-    /// Offers a whole row to the source: `count` reads starting at the
-    /// subscript vector `start`, advancing by `delta` per point. A source
-    /// that can prove the whole row resolves within its buffer returns
-    /// the starting flat offset and per-point flat delta; reads then go
-    /// through [`RouteSource::read_flat`] with no per-point subscript
+    /// Offers a box of subscript vectors to the source: `sub_box[p]` is
+    /// the inclusive range subscript `p` takes over a point box (see
+    /// [`ExecPlan::linearize`]). A source that can prove every vector in
+    /// the box resolves inside its buffer writes the buffer's row-major
+    /// flat multipliers to `mult` and returns the flat offset of the
+    /// all-zero index, so `flat = base + Σ mult[p]·index[p]`; reads then
+    /// go through [`RouteSource::read_flat`] with no per-point subscript
     /// work. Returning `None` (the default) keeps per-point
     /// [`RouteSource::read`] calls.
-    fn row(&mut self, _route: usize, _start: &[i64], _delta: &[i64], _count: i64) -> Option<(i64, i64)> {
+    fn linearize(&mut self, _route: usize, _sub_box: &[(i64, i64)], _mult: &mut [i64]) -> Option<i64> {
         None
     }
 
-    /// Reads a pre-linearized flat offset produced by [`RouteSource::row`].
+    /// Reads a flat offset of the form [`RouteSource::linearize`] returned.
     fn read_flat(&mut self, _route: usize, _flat: i64) -> f64 {
         0.0
     }
@@ -165,19 +174,50 @@ impl IndexFn {
         v
     }
 
-    /// Value interval over the iteration domain `0 ≤ point[d] < trips[d]`.
-    /// `None` when a term's dimension lies outside the domain.
-    fn range(&self, trips: &[i64]) -> Option<(i64, i64)> {
+    /// Value interval over the point box `bx[d].0 ≤ point[d] ≤ bx[d].1`.
+    /// `None` when a term's dimension lies outside the box.
+    fn range(&self, bx: &[(i64, i64)]) -> Option<(i64, i64)> {
         let (mut lo, mut hi) = (self.offset, self.offset);
         for &(d, c) in &self.terms {
-            let max = *trips.get(d as usize)? - 1;
+            let (min, max) = *bx.get(d as usize)?;
             if c >= 0 {
+                lo += c * min;
                 hi += c * max;
             } else {
                 lo += c * max;
+                hi += c * min;
             }
         }
         Some((lo, hi))
+    }
+}
+
+/// A flat address valid over a point box: `base + Σ coef[d]·point[d]`.
+/// Arithmetic wraps: over the box the true value is a valid offset, so
+/// wrapping intermediates land on it exactly.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinearForm {
+    base: i64,
+    coef: [i64; MAX_RANK],
+}
+
+impl LinearForm {
+    #[inline]
+    fn eval(&self, point: &[i64]) -> i64 {
+        let mut flat = self.base;
+        for (&c, &v) in self.coef.iter().zip(point) {
+            flat = flat.wrapping_add(c.wrapping_mul(v));
+        }
+        flat
+    }
+
+    /// Adds `mult × index` for one subscript's index function.
+    fn add(&mut self, index: &IndexFn, mult: i64) {
+        self.base = self.base.wrapping_add(index.offset.wrapping_mul(mult));
+        for &(d, c) in &index.terms {
+            let coef = &mut self.coef[d as usize];
+            *coef = coef.wrapping_add(c.wrapping_mul(mult));
+        }
     }
 }
 
@@ -193,12 +233,8 @@ struct SubPlan {
 /// A lowered array access.
 #[derive(Debug, Clone)]
 enum Addr {
-    /// Proven in bounds: `flat = base + Σ stride·point[dim]`.
-    Linear {
-        slot: u32,
-        base: i64,
-        terms: Vec<(u32, i64)>,
-    },
+    /// Proven in bounds over the iteration domain: one linear form.
+    Linear { slot: u32, at: LinearForm },
     /// Per-subscript bounds checks, then stride combination. Any failing
     /// check reads 0 / drops the write.
     Checked { slot: u32, subs: Vec<SubPlan> },
@@ -229,10 +265,12 @@ pub struct ExecPlan {
     stmts: Vec<StmtPlan>,
 }
 
-/// Reusable scratch for [`ExecPlan::exec_row`]: one `(flat, delta)`
-/// cursor per lowered access. Create once per kernel launch with
-/// [`ExecPlan::scratch`] and reuse across rows — row setup then costs
-/// one dot product per access instead of one per access *per point*.
+/// Reusable scratch for [`ExecPlan::exec_nest`]: per read, the flat
+/// form proven over the current point box (see [`ExecPlan::linearize`])
+/// and a `(flat, delta)` row cursor. Create once per kernel launch with
+/// [`ExecPlan::scratch`] and reuse across nests — row setup then costs
+/// a copy per access instead of an address computation per access *per
+/// point*.
 #[derive(Debug, Clone, Default)]
 pub struct RowScratch {
     stmts: Vec<StmtScratch>,
@@ -240,19 +278,28 @@ pub struct RowScratch {
 
 #[derive(Debug, Clone)]
 struct StmtScratch {
+    /// Per read: its flat form over the box last linearized; `None`
+    /// where the proof failed (checked reads then split each row at
+    /// their bounds, routed reads go per point).
+    forms: Vec<Option<LinearForm>>,
     reads: Vec<RowCursor>,
     write: (i64, i64),
+    /// The linear write's flat offset at the nest's current point.
+    write_start: i64,
 }
 
 /// One access's incremental state along a row. `direct` marks cursors
-/// whose flat offset is valid for the whole row — linear store accesses,
-/// and routed reads the [`RouteSource`] linearized via
-/// [`RouteSource::row`]. Everything else is recomputed per point.
+/// whose flat offset is valid for the whole row — reads with a proven
+/// [`LinearForm`], and checked reads inside their in-bounds segment.
+/// Everything else is recomputed per point. `start` is a form-bearing
+/// read's flat offset at the nest's current point: the outer loops of a
+/// nest move it by one stride per step, and each row starts from it.
 #[derive(Debug, Clone, Copy, Default)]
 struct RowCursor {
     flat: i64,
     delta: i64,
     direct: bool,
+    start: i64,
 }
 
 impl ExecPlan {
@@ -308,50 +355,162 @@ impl ExecPlan {
         Some(ExecPlan { stmts })
     }
 
-    /// Executes every statement at one iteration point, in textual
-    /// order — the compiled equivalent of
-    /// [`interp::exec_point`](crate::interp::exec_point).
-    pub fn exec_point(&self, store: &mut Store, point: &[i64]) {
-        self.exec_point_routed(store, point, &mut NoRoutes);
-    }
-
-    /// Creates the row-execution scratch sized for this plan.
+    /// Creates the nest-execution scratch sized for this plan, holding
+    /// the compile-time proofs: every read proven in bounds over the
+    /// iteration domain has its form, every other read none — the state
+    /// [`ExecPlan::linearize`] leaves for the whole iteration domain with
+    /// no routes.
     pub fn scratch(&self) -> RowScratch {
         RowScratch {
             stmts: self
                 .stmts
                 .iter()
                 .map(|s| StmtScratch {
+                    forms: s
+                        .reads
+                        .iter()
+                        .map(|r| match r {
+                            Addr::Linear { at, .. } => Some(*at),
+                            _ => None,
+                        })
+                        .collect(),
                     reads: vec![RowCursor::default(); s.reads.len()],
                     write: (0, 0),
+                    write_start: 0,
                 })
                 .collect(),
         }
     }
 
-    /// Executes `count` iteration points along `dim`, starting from the
-    /// current `point` and stepping by `step` — bit-for-bit equivalent
-    /// to `count` calls to [`ExecPlan::exec_point`], but every
-    /// [`Addr::Linear`] address is resolved once at row entry and then
-    /// advanced incrementally by `step × stride` per point.
+    /// Proves each read once over the point box `bx` (inclusive
+    /// `(lo, hi)` per dimension) and stores its flat form in `scratch`:
+    /// a checked read whose subscripts all stay in bounds over the box,
+    /// and a routed read whose subscript box `routes` accepts
+    /// ([`RouteSource::linearize`]), become direct for every row of the
+    /// nests run inside the box. Reads whose proof fails keep the per-row
+    /// bounds split (checked) or per-point reads (routed), one read at a
+    /// time.
+    pub fn linearize(&self, bx: &[(i64, i64)], scratch: &mut RowScratch, routes: &mut impl RouteSource) {
+        for (stmt, sc) in self.stmts.iter().zip(&mut scratch.stmts) {
+            for (read, form) in stmt.reads.iter().zip(&mut sc.forms) {
+                *form = match read {
+                    Addr::Linear { at, .. } => Some(*at),
+                    Addr::Checked { subs, .. } => {
+                        let in_bounds = subs.iter().all(|sub| {
+                            matches!(sub.index.range(bx), Some((lo, hi)) if lo >= 0 && hi < sub.extent)
+                        });
+                        in_bounds.then(|| {
+                            let mut at = LinearForm::default();
+                            for sub in subs {
+                                at.add(&sub.index, sub.stride);
+                            }
+                            at
+                        })
+                    }
+                    Addr::Routed { route, subs } => {
+                        let mut sub_box = [(0i64, 0i64); MAX_RANK];
+                        let mut mult = [0i64; MAX_RANK];
+                        for (b, sub) in sub_box.iter_mut().zip(subs) {
+                            *b = sub.range(bx).unwrap_or((i64::MIN, i64::MAX));
+                        }
+                        let n = subs.len();
+                        routes.linearize(*route as usize, &sub_box[..n], &mut mult[..n]).map(|base| {
+                            let mut at = LinearForm { base, ..LinearForm::default() };
+                            for (sub, &m) in subs.iter().zip(&mult) {
+                                at.add(sub, m);
+                            }
+                            at
+                        })
+                    }
+                    Addr::Miss => None,
+                };
+            }
+        }
+    }
+
+    /// Executes a lexicographic loop nest — bit-for-bit equivalent to
+    /// [`ExecPlan::exec_point_routed`] at every point in order. `loops`
+    /// lists `(dim, count, step)` outermost first; each loop starts at
+    /// the current `point[dim]`, and `point` is restored on return. The
+    /// innermost loop runs as a plan row: addresses with a proven form
+    /// are resolved once per nest, moved by one stride per outer step,
+    /// and advanced by `step × stride` per point along a row; the
+    /// chunked and fused row loops apply where provably identical (see
+    /// [`set_simd_enabled`]).
     ///
-    /// `point[dim]` is clobbered (it tracks the row for checked and
-    /// routed accesses); every other coordinate is left untouched.
-    pub fn exec_row(
+    /// Forms come from `scratch`: the compile-time domain's for a fresh
+    /// [`ExecPlan::scratch`], else the box last passed to
+    /// [`ExecPlan::linearize`] — every point the nest visits must lie in
+    /// that box.
+    pub fn exec_nest(
         &self,
         store: &mut Store,
         point: &mut [i64],
-        dim: usize,
-        count: i64,
-        step: i64,
+        loops: &[(usize, i64, i64)],
         scratch: &mut RowScratch,
+        routes: &mut impl RouteSource,
     ) {
-        self.exec_row_routed(store, point, dim, count, step, scratch, &mut NoRoutes);
+        if loops.is_empty() {
+            self.exec_point_routed(store, point, routes);
+            return;
+        }
+        self.move_starts(scratch, |at, _| at.eval(point));
+        self.run_nest(store, point, loops, scratch, routes);
     }
 
-    /// Like [`ExecPlan::exec_row`], with routed reads served by `routes`.
+    /// [`ExecPlan::exec_nest`] over a non-empty nest whose row starts are
+    /// placed at `point`; restores both.
+    fn run_nest(
+        &self,
+        store: &mut Store,
+        point: &mut [i64],
+        loops: &[(usize, i64, i64)],
+        scratch: &mut RowScratch,
+        routes: &mut impl RouteSource,
+    ) {
+        let [(dim, count, step), ref inner @ ..] = *loops else {
+            unreachable!("exec_nest runs empty nests as one point")
+        };
+        let start = point[dim];
+        if inner.is_empty() {
+            self.exec_row(store, point, dim, count, step, scratch, routes);
+            point[dim] = start;
+            return;
+        }
+        for i in 0..count {
+            if i > 0 {
+                point[dim] += step;
+                self.move_starts(scratch, |at, s| s.wrapping_add(at.coef[dim].wrapping_mul(step)));
+            }
+            self.run_nest(store, point, inner, scratch, routes);
+        }
+        if count > 1 {
+            point[dim] = start;
+            let back = (count - 1).wrapping_mul(step);
+            self.move_starts(scratch, |at, s| s.wrapping_sub(at.coef[dim].wrapping_mul(back)));
+        }
+    }
+
+    /// Applies `f(form, start)` to the row start of every access with a
+    /// form: the linear write and the reads proven over the box.
+    fn move_starts(&self, scratch: &mut RowScratch, f: impl Fn(&LinearForm, i64) -> i64) {
+        for (stmt, sc) in self.stmts.iter().zip(&mut scratch.stmts) {
+            for (form, cursor) in sc.forms.iter().zip(&mut sc.reads) {
+                if let Some(at) = form {
+                    cursor.start = f(at, cursor.start);
+                }
+            }
+            if let Addr::Linear { at, .. } = &stmt.write {
+                sc.write_start = f(at, sc.write_start);
+            }
+        }
+    }
+
+    /// Executes `count` iteration points along `dim`, starting from the
+    /// current `point` and stepping by `step`, leaving `point[dim]` past
+    /// the row.
     #[allow(clippy::too_many_arguments)]
-    pub fn exec_row_routed(
+    fn exec_row(
         &self,
         store: &mut Store,
         point: &mut [i64],
@@ -364,22 +523,19 @@ impl ExecPlan {
         if count <= 0 {
             return;
         }
-        // Checked subscripts are linear in the row variable, so each
-        // one's in-bounds region is a contiguous interval of points;
-        // `dlo..dhi` is the intersection over every checked read. Inside
-        // it the checked cursors become direct flat walks, and only the
+        // A checked subscript without a box proof is linear in the row
+        // variable, so its in-bounds region is a contiguous interval of
+        // points; `dlo..dhi` is the intersection over every such read.
+        // Inside it their cursors become direct flat walks, and only the
         // edge points pay the per-point bounds checks.
         let mut dlo = 0i64;
         let mut dhi = count;
         let mut has_checked = false;
         for (stmt, sc) in self.stmts.iter().zip(&mut scratch.stmts) {
-            for (read, cursor) in stmt.reads.iter().zip(&mut sc.reads) {
-                *cursor = match read {
-                    Addr::Linear { base, terms, .. } => {
-                        let (flat, delta) = row_cursor(*base, terms, point, dim, step);
-                        RowCursor { flat, delta, direct: true }
-                    }
-                    Addr::Checked { subs, .. } => {
+            for ((read, form), cursor) in stmt.reads.iter().zip(&sc.forms).zip(&mut sc.reads) {
+                (cursor.flat, cursor.delta, cursor.direct) = match (form, read) {
+                    (Some(at), _) => (cursor.start, at.coef[dim].wrapping_mul(step), true),
+                    (None, Addr::Checked { subs, .. }) => {
                         has_checked = true;
                         let mut flat = 0i64;
                         let mut delta = 0i64;
@@ -392,25 +548,13 @@ impl ExecPlan {
                             dlo = dlo.max(lo);
                             dhi = dhi.min(hi);
                         }
-                        RowCursor { flat, delta, direct: false }
+                        (flat, delta, false)
                     }
-                    Addr::Routed { route, subs } => {
-                        let mut start = [0i64; MAX_RANK];
-                        let mut delta = [0i64; MAX_RANK];
-                        for (p, s) in subs.iter().enumerate() {
-                            start[p] = s.eval(point);
-                            delta[p] = step * s.coeff(dim);
-                        }
-                        match routes.row(*route as usize, &start[..subs.len()], &delta[..subs.len()], count) {
-                            Some((flat, delta)) => RowCursor { flat, delta, direct: true },
-                            None => RowCursor::default(),
-                        }
-                    }
-                    Addr::Miss => RowCursor::default(),
+                    (None, _) => (0, 0, false),
                 };
             }
             sc.write = match &stmt.write {
-                Addr::Linear { base, terms, .. } => row_cursor(*base, terms, point, dim, step),
+                Addr::Linear { at, .. } => (sc.write_start, at.coef[dim].wrapping_mul(step)),
                 _ => (0, 0),
             };
         }
@@ -433,12 +577,12 @@ impl ExecPlan {
         }
     }
 
-    /// Marks every checked-read cursor (in)valid for direct flat reads —
-    /// flipped around the in-bounds segment of a row.
+    /// Marks every checked-read cursor without a box proof (in)valid for
+    /// direct flat reads — flipped around the in-bounds segment of a row.
     fn set_checked_direct(&self, scratch: &mut RowScratch, direct: bool) {
         for (stmt, sc) in self.stmts.iter().zip(&mut scratch.stmts) {
-            for (read, cursor) in stmt.reads.iter().zip(&mut sc.reads) {
-                if matches!(read, Addr::Checked { .. }) {
+            for ((read, form), cursor) in stmt.reads.iter().zip(&sc.forms).zip(&mut sc.reads) {
+                if form.is_none() && matches!(read, Addr::Checked { .. }) {
                     cursor.direct = direct;
                 }
             }
@@ -750,8 +894,9 @@ impl ExecPlan {
         }
     }
 
-    /// Like [`ExecPlan::exec_point`], with routed reads served by
-    /// `routes` — the compiled equivalent of
+    /// Executes every statement at one iteration point, in textual
+    /// order, with routed reads served by `routes` — the compiled
+    /// equivalent of
     /// [`interp::exec_point_hooked`](crate::interp::exec_point_hooked).
     pub fn exec_point_routed(
         &self,
@@ -872,8 +1017,7 @@ fn lower_access(r: &ArrayRef, trips: &[i64], store: &Store, route: Option<usize>
         return Some(if extents.len() == 1 {
             Addr::Linear {
                 slot,
-                base: 0,
-                terms: Vec::new(),
+                at: LinearForm::default(),
             }
         } else {
             Addr::Miss
@@ -888,11 +1032,12 @@ fn lower_access(r: &ArrayRef, trips: &[i64], store: &Store, route: Option<usize>
     for p in (0..extents.len().saturating_sub(1)).rev() {
         strides[p] = strides[p + 1].checked_mul(extents[p + 1])?;
     }
+    let domain: Vec<(i64, i64)> = trips.iter().map(|&t| (0, t - 1)).collect();
     let mut subs = Vec::with_capacity(r.subscripts.len());
     let mut in_bounds = true;
     for (p, s) in r.subscripts.iter().enumerate() {
         let index = IndexFn::lower(s);
-        match index.range(trips) {
+        match index.range(&domain) {
             Some((lo, hi)) if lo >= 0 && hi < extents[p] => {}
             _ => in_bounds = false,
         }
@@ -907,30 +1052,18 @@ fn lower_access(r: &ArrayRef, trips: &[i64], store: &Store, route: Option<usize>
     }
     // Every subscript is proven in bounds over the domain: fold the
     // per-subscript functions into one linear address function.
-    let mut base = 0i64;
-    let mut dim_strides = vec![0i64; trips.len()];
+    let mut at = LinearForm::default();
     for sub in &subs {
-        base = base.checked_add(sub.index.offset.checked_mul(sub.stride)?)?;
+        at.base = at.base.checked_add(sub.index.offset.checked_mul(sub.stride)?)?;
         for &(d, c) in &sub.index.terms {
-            let add = c.checked_mul(sub.stride)?;
-            let slot = &mut dim_strides[d as usize];
-            *slot = slot.checked_add(add)?;
+            let coef = &mut at.coef[d as usize];
+            *coef = coef.checked_add(c.checked_mul(sub.stride)?)?;
         }
     }
-    Some(Addr::Linear {
-        slot,
-        base,
-        terms: dim_strides
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, s)| s != 0)
-            .map(|(d, s)| (d as u32, s))
-            .collect(),
-    })
+    Some(Addr::Linear { slot, at })
 }
 
-/// Reads through a direct row cursor (linear store access or a routed
-/// read the source linearized).
+/// Reads through a direct row cursor (a read with a proven form).
 #[inline]
 fn direct_val(addr: &Addr, cur: &RowCursor, store: &Store, routes: &mut impl RouteSource) -> f64 {
     match addr {
@@ -961,21 +1094,6 @@ fn inbounds_interval(s: i64, d: i64, extent: i64, count: i64) -> (i64, i64) {
     (lo.max(0), hi.min(count))
 }
 
-/// Resolves a linear address at the row's start point and its per-point
-/// delta along `dim` (`step × stride`).
-#[inline]
-fn row_cursor(base: i64, terms: &[(u32, i64)], point: &[i64], dim: usize, step: i64) -> (i64, i64) {
-    let mut flat = base;
-    let mut delta = 0i64;
-    for &(d, c) in terms {
-        flat += c * point[d as usize];
-        if d as usize == dim {
-            delta += c * step;
-        }
-    }
-    (flat, delta)
-}
-
 #[inline]
 fn read_addr(
     addr: &Addr,
@@ -984,13 +1102,7 @@ fn read_addr(
     routes: &mut impl RouteSource,
 ) -> f64 {
     match addr {
-        Addr::Linear { slot, base, terms } => {
-            let mut flat = *base;
-            for &(d, c) in terms {
-                flat += c * point[d as usize];
-            }
-            store.slot_array(*slot as usize).data()[flat as usize]
-        }
+        Addr::Linear { slot, at } => store.slot_array(*slot as usize).data()[at.eval(point) as usize],
         Addr::Checked { slot, subs } => match checked_flat(subs, point) {
             Some(flat) => store.slot_array(*slot as usize).data()[flat],
             None => 0.0,
@@ -1022,13 +1134,7 @@ fn checked_flat(subs: &[SubPlan], point: &[i64]) -> Option<usize> {
 #[inline]
 fn resolve_write(addr: &Addr, point: &[i64]) -> Option<(u32, usize)> {
     match addr {
-        Addr::Linear { slot, base, terms } => {
-            let mut flat = *base;
-            for &(d, c) in terms {
-                flat += c * point[d as usize];
-            }
-            Some((*slot, flat as usize))
-        }
+        Addr::Linear { slot, at } => Some((*slot, at.eval(point) as usize)),
         Addr::Checked { slot, subs } => Some((*slot, checked_flat(subs, point)?)),
         Addr::Routed { .. } | Addr::Miss => None,
     }
@@ -1040,6 +1146,7 @@ mod tests {
     use crate::interp::{compare_stores, reference, Array};
     use crate::parser::parse_program;
     use crate::ProblemSizes;
+    use proptest::prelude::*;
 
     fn run_both(src: &str, sizes: &[(&str, i64)], seed_arrays: &[(&str, Vec<i64>)]) {
         let p = parse_program(src).unwrap();
@@ -1219,5 +1326,170 @@ mod tests {
         let p = parse_program(&src).unwrap();
         let store = Store::new();
         assert!(ExecPlan::compile(&p.kernels[0], &[2; 9], &store).is_none());
+    }
+
+    /// A staged-buffer stand-in: per route, a box of subscript vectors
+    /// over seeded values, recording the first out-of-box read as the
+    /// emulator's router does.
+    #[derive(Clone)]
+    struct BoxRoutes {
+        boxes: Vec<Vec<(i64, i64)>>,
+        failure: Option<(usize, Vec<i64>)>,
+    }
+
+    impl BoxRoutes {
+        fn flat(&self, route: usize, index: &[i64]) -> Option<i64> {
+            let mut flat = 0;
+            for (&i, &(lo, hi)) in index.iter().zip(&self.boxes[route]) {
+                if i < lo || i > hi {
+                    return None;
+                }
+                flat = flat * (hi - lo + 1) + (i - lo);
+            }
+            Some(flat)
+        }
+
+        /// The buffer value at a flat offset: a hash of route and offset.
+        fn value(route: usize, flat: i64) -> f64 {
+            ((flat * 7 + route as i64 * 5) % 11 - 5) as f64 / 3.0
+        }
+    }
+
+    impl RouteSource for BoxRoutes {
+        fn read(&mut self, route: usize, index: &[i64]) -> f64 {
+            match self.flat(route, index) {
+                Some(flat) => BoxRoutes::value(route, flat),
+                None => {
+                    self.failure.get_or_insert_with(|| (route, index.to_vec()));
+                    0.0
+                }
+            }
+        }
+
+        fn linearize(&mut self, route: usize, sub_box: &[(i64, i64)], mult: &mut [i64]) -> Option<i64> {
+            let bounds = &self.boxes[route];
+            let mut base = 0;
+            let mut stride = 1;
+            for p in (0..sub_box.len()).rev() {
+                let ((slo, shi), (lo, hi)) = (sub_box[p], bounds[p]);
+                if slo < lo || shi > hi {
+                    return None;
+                }
+                mult[p] = stride;
+                base -= lo * stride;
+                stride *= hi - lo + 1;
+            }
+            Some(base)
+        }
+
+        fn read_flat(&mut self, route: usize, flat: i64) -> f64 {
+            BoxRoutes::value(route, flat)
+        }
+    }
+
+    /// Kernels over `0 ≤ i, j, k < 6` for the nest property: `B` routes
+    /// to route 0 and `E` to route 1; `A` is sized tight, so its halo
+    /// reads are checked at the array edges, as is the write `D[j][i+1]`.
+    const NEST_KERNELS: [&str; 3] = [
+        // One fused reduction row: checked read × routed read.
+        "kernel m(N) { for (i: N) for (j: N) for (k: N) C[i][j] += A[i][k-1] * B[k][j+1]; }",
+        // Two statements, a checked write, a 1-D routed read.
+        "kernel s(N) { for (i: N) for (j: N) for (k: N) {
+            C[i][j] += A[i][k-1] * B[k][j+1];
+            D[j][i+1] = 0.5 * A[i+1][j] - E[k] / 3.0 + B[k+1][j];
+        } }",
+        // Chunked-lane rows: store-backed reads only.
+        "kernel v(N) { for (i: N) for (j: N) for (k: N) D[i][k] = A[i][k+1] * 2.0 - C[k][j] / 3.0; }",
+    ];
+
+    /// Every point of a loop nest, in lexicographic order.
+    fn nest_points(point: &mut Vec<i64>, loops: &[(usize, i64, i64)], out: &mut Vec<Vec<i64>>) {
+        match loops.split_first() {
+            None => out.push(point.clone()),
+            Some((&(d, count, step), inner)) => {
+                let start = point[d];
+                for i in 0..count {
+                    point[d] = start + i * step;
+                    nest_points(point, inner, out);
+                }
+                point[d] = start;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `exec_nest` over random nests — any loop order, steps above
+        /// one, singleton and empty levels, boxes with slack, routed
+        /// boxes that only partly cover the reads — equals
+        /// `exec_point_routed` at every point in order: bitwise stores
+        /// and the same first out-of-box read.
+        #[test]
+        fn exec_nest_matches_per_point_execution(
+            kernel in 0usize..3,
+            order in 0usize..6,
+            levels in proptest::collection::vec((0i64..6, 1i64..4, 0i64..5, 0i64..4), 3),
+            slack in proptest::collection::vec((0i64..2, 0i64..2), 3),
+            routes in proptest::collection::vec((-1i64..3, 2i64..8), 3),
+            linearize in 0u8..3,
+        ) {
+            let p = parse_program(NEST_KERNELS[kernel]).unwrap();
+            let mut store = Store::new();
+            for (name, salt) in [("A", 1i64), ("C", 2), ("D", 3)] {
+                store.insert(name, Array::from_fn(vec![6, 6], |i| ((i[0] * 31 + i[1] * 7 + salt) % 13 - 6) as f64 / 3.0));
+            }
+            let plan = ExecPlan::compile_routed(&p.kernels[0], &[6, 6, 6], &store, |r| match r.array.as_str() {
+                "B" => Some(0),
+                "E" => Some(1),
+                _ => None,
+            })
+            .unwrap();
+            let source = BoxRoutes {
+                boxes: vec![
+                    vec![(routes[0].0, routes[0].0 + routes[0].1), (routes[1].0, routes[1].0 + routes[1].1)],
+                    vec![(routes[2].0, routes[2].0 + routes[2].1)],
+                ],
+                failure: None,
+            };
+            // A level with `keep == 0` is left out of the nest (its dim
+            // stays at the start); the others run as many of `count`
+            // points as fit the domain, 1 being a singleton level.
+            let dims = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]][order];
+            let mut start = vec![0i64; 3];
+            let mut loops = Vec::new();
+            let mut bx = vec![(0i64, 0i64); 3];
+            for &d in &dims {
+                let (s, step, count, keep) = levels[d];
+                start[d] = s;
+                let count = if keep == 0 { 1 } else { count.min((5 - s) / step + 1) };
+                if keep != 0 {
+                    loops.push((d, count, step));
+                }
+                let last = s + (count - 1).max(0) * step;
+                bx[d] = ((s - slack[d].0).max(0), (last + slack[d].1).min(5));
+            }
+
+            let mut nest_store = store.clone();
+            let mut nest_routes = source.clone();
+            let mut scratch = plan.scratch();
+            if linearize > 0 {
+                plan.linearize(&bx, &mut scratch, &mut nest_routes);
+            }
+            let mut point = start.clone();
+            plan.exec_nest(&mut nest_store, &mut point, &loops, &mut scratch, &mut nest_routes);
+            prop_assert_eq!(&point, &start);
+
+            let mut points = Vec::new();
+            nest_points(&mut start.clone(), &loops, &mut points);
+            let mut point_store = store.clone();
+            let mut point_routes = source.clone();
+            for pt in &points {
+                plan.exec_point_routed(&mut point_store, pt, &mut point_routes);
+            }
+            let mismatches = compare_stores(&nest_store, &point_store);
+            prop_assert!(mismatches.is_empty(), "nest != per-point: {:?}", mismatches);
+            prop_assert_eq!(nest_routes.failure, point_routes.failure);
+        }
     }
 }

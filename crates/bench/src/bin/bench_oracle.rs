@@ -91,14 +91,12 @@ struct KernelRow {
     /// Batched emulator arm: fast = one `execute_compiled_batch`,
     /// reference = the reference engine per config.
     emulator_batched: EnginePair,
-    /// What [`ExecEngine::Auto`] resolves to for this kernel's domain.
-    auto_engine: &'static str,
 }
 
 /// A kernel whose compiled path is *slower* than its reference
-/// (wall_ratio < 1.0) on one side of the comparison. These are exactly
-/// the cases [`ExecEngine::Auto`] exists to avoid; the bench surfaces
-/// them instead of letting them hide in the aggregate.
+/// (wall_ratio < 1.0) on one side of the comparison. The compiled paths
+/// run unconditionally in production, so the bench surfaces every such
+/// loss instead of letting it hide in the aggregate.
 struct Regression {
     name: String,
     side: &'static str,
@@ -511,36 +509,20 @@ fn main() {
             emulator,
             interp_batched,
             emulator_batched,
-            auto_engine: if trips(&program, &sizes).iter().product::<i64>()
-                >= eatss_ppcg::AUTO_PLAN_THRESHOLD_EMULATOR_POINTS
-            {
-                "plan"
-            } else {
-                "reference"
-            },
         });
     }
 
-    // Flag sub-1.0 wall_ratios the suite actually pays: the interp fast
-    // path and the batched arms are unconditional, so any loss there is a
-    // finding. The emulator's forced-`Plan` arm only reaches production
-    // through `ExecEngine::Auto`, which routes domains below
-    // `AUTO_PLAN_THRESHOLD_EMULATOR_POINTS` to the reference walker — a
-    // forced-plan loss on such a domain is exactly the case Auto avoids,
-    // so it is reported in the table but not flagged as a regression.
+    // Flag every sub-1.0 wall_ratio: each compiled path (and its batched
+    // arm) is the production path for every domain size.
     let mut regressions = Vec::new();
     for r in &rows {
-        for (side, pair, flagged) in [
-            ("interp", &r.interp, true),
-            ("emulator", &r.emulator, r.auto_engine == "plan"),
-            ("interp_batched", &r.interp_batched, true),
-            (
-                "emulator_batched",
-                &r.emulator_batched,
-                r.auto_engine == "plan",
-            ),
+        for (side, pair) in [
+            ("interp", &r.interp),
+            ("emulator", &r.emulator),
+            ("interp_batched", &r.interp_batched),
+            ("emulator_batched", &r.emulator_batched),
         ] {
-            if flagged && pair.wall_ratio() < 1.0 {
+            if pair.wall_ratio() < 1.0 {
                 regressions.push(Regression {
                     name: r.name.clone(),
                     side,
@@ -551,14 +533,8 @@ fn main() {
     }
     for reg in &regressions {
         println!(
-            "WARNING: {} {} wall_ratio {:.3} < 1.0 — compiled path slower than reference \
-             (ExecEngine::Auto routes this domain to `{}`)",
-            reg.name,
-            reg.side,
-            reg.wall_ratio,
-            rows.iter()
-                .find(|r| r.name == reg.name)
-                .map_or("?", |r| r.auto_engine),
+            "WARNING: {} {} wall_ratio {:.3} < 1.0 — compiled path slower than reference",
+            reg.name, reg.side, reg.wall_ratio,
         );
     }
 
@@ -586,11 +562,10 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"configs\": {}, \"points\": {}, \"auto_engine\": \"{}\", \"interp\": {}, \"emulator\": {}, \"interp_batched\": {}, \"emulator_batched\": {}}}{}",
+            "    {{\"name\": \"{}\", \"configs\": {}, \"points\": {}, \"interp\": {}, \"emulator\": {}, \"interp_batched\": {}, \"emulator_batched\": {}}}{}",
             r.name,
             r.configs,
             r.interp.fast.points,
-            r.auto_engine,
             pair_json(&r.interp),
             pair_json(&r.emulator),
             pair_json(&r.interp_batched),

@@ -22,11 +22,17 @@
 //! group are pre-routed to its buffer at compile time (one slot lookup
 //! instead of a string-compare group search per read per point), all
 //! other accesses lower to linear address functions, and the RHS runs as
-//! a postfix opcode tape. [`ExecEngine::Reference`] forces the original
-//! per-point tree-walk through
-//! [`exec_point_hooked`](eatss_affine::interp::exec_point_hooked); both
-//! engines produce bitwise-identical stores and identical [`ExecStats`]
-//! (differentially tested over the whole benchmark suite).
+//! a postfix opcode tape. Each serial tile step proves every access once
+//! over the step's tile box
+//! ([`ExecPlan::linearize`](eatss_affine::plan::ExecPlan::linearize)) —
+//! staged reads against the buffer's box, checked store reads against the
+//! array bounds — and each thread then runs its points as one loop nest
+//! ([`ExecPlan::exec_nest`](eatss_affine::plan::ExecPlan::exec_nest)).
+//! [`ExecEngine::Reference`] forces the original per-point tree-walk
+//! through [`exec_point_hooked`];
+//! both engines produce bitwise-identical stores, identical
+//! [`ExecStats`] and the same first [`ExecError`] (differentially tested
+//! over the whole benchmark suite).
 //!
 //! What is *not* modeled: warp scheduling, memory timing, and racy
 //! unsynchronized accesses (blocks and threads are independent by
@@ -58,39 +64,16 @@ pub enum BarrierFidelity {
 /// Which execution core runs the statements at each point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
-    /// Per-kernel heuristic: kernels whose total iteration count is
-    /// below [`AUTO_PLAN_THRESHOLD_EMULATOR_POINTS`] run on the
-    /// reference walker (plan compilation plus per-row route dispatch
-    /// cost more than they save on tiny domains — bench_oracle measured
-    /// jacobi-1d at wall_ratio 0.982 under an unconditional `Plan`);
-    /// everything larger gets the compiled plan.
-    #[default]
-    Auto,
     /// Compile the kernel into an [`ExecPlan`] (staged reads pre-routed,
-    /// addresses linearized, RHS as an opcode tape). Kernels the plan
-    /// compiler cannot lower silently fall back to the reference walk.
+    /// addresses linearized, RHS as an opcode tape) and run each thread's
+    /// points as one loop nest. Kernels the plan compiler cannot lower
+    /// silently fall back to the reference walk.
+    #[default]
     Plan,
     /// The original tree-walking per-point execution, retained as the
     /// executable specification the plan engine is tested against.
     Reference,
 }
-
-/// Iteration-count floor below which compiling an
-/// [`ExecPlan`](eatss_affine::plan::ExecPlan) stops paying for itself in
-/// general: one compile amortizes over the kernel's points; under ~1k
-/// points the compile dominates.
-pub const AUTO_PLAN_THRESHOLD_POINTS: i64 = 1024;
-
-/// The *emulator's* [`ExecEngine::Auto`] crossover, sitting higher than
-/// the generic [`AUTO_PLAN_THRESHOLD_POINTS`]: emulated plan rows also
-/// pay route dispatch and per-row staging-box checks, so the compile
-/// amortizes later. bench_oracle measured the forced-`Plan` emulator at
-/// wall_ratio 0.982 on a 51-point domain (jacobi-1d) and only ~1.0 near
-/// 900 points (fdtd-2d); no PolyBench kernel at sweep sizes has a domain
-/// between these thresholds, so raising the emulator's floor changes no
-/// current routing except keeping tiny stencil domains on the reference
-/// walker.
-pub const AUTO_PLAN_THRESHOLD_EMULATOR_POINTS: i64 = 2048;
 
 /// Emulator knobs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -342,6 +325,15 @@ impl KernelPlanCache {
     }
 }
 
+/// The error for a staged read outside its box.
+fn out_of_box(kernel: &str, array: &str, index: &[i64]) -> ExecError {
+    ExecError::StagedReadOutOfBox {
+        kernel: kernel.to_owned(),
+        array: array.to_owned(),
+        index: index.to_vec(),
+    }
+}
+
 /// Serves the plan's pre-routed staged reads, with the same
 /// out-of-box accounting as the reference hook: the first failure is
 /// recorded, the read returns 0.
@@ -351,50 +343,38 @@ struct StagedRouter<'k, 'a> {
     failure: Option<ExecError>,
 }
 
-impl StagedRouter<'_, '_> {
-    fn record_out_of_box(&mut self, array: &str, index: &[i64]) {
-        if self.failure.is_none() {
-            self.failure = Some(ExecError::StagedReadOutOfBox {
-                kernel: self.kernel.to_owned(),
-                array: array.to_owned(),
-                index: index.to_vec(),
-            });
-        }
-    }
-}
-
 impl RouteSource for StagedRouter<'_, '_> {
     fn read(&mut self, route: usize, index: &[i64]) -> f64 {
         let g = &self.staged[route];
         match g.flatten(index) {
             Some(flat) => g.data[flat],
             None => {
-                self.record_out_of_box(&g.array, index);
+                let kernel = self.kernel;
+                self.failure.get_or_insert_with(|| out_of_box(kernel, &g.array, index));
                 0.0
             }
         }
     }
 
-    fn row(&mut self, route: usize, start: &[i64], delta: &[i64], count: i64) -> Option<(i64, i64)> {
-        // Subscripts move monotonically along a row, so checking the two
-        // endpoints against the box proves the whole row stays inside it;
-        // the box flatten is then linear in the subscripts.
+    fn linearize(&mut self, route: usize, sub_box: &[(i64, i64)], mult: &mut [i64]) -> Option<i64> {
+        // A subscript box inside the staged box resolves entirely within
+        // the buffer, whose row-major flatten is linear in the subscripts.
         let g = &self.staged[route];
-        if start.len() != g.bounds.len() {
+        if sub_box.len() != g.bounds.len() {
             return None;
         }
-        let mut flat = 0i64;
-        let mut flat_delta = 0i64;
-        for ((&s, &d), &(lo, hi)) in start.iter().zip(delta).zip(&g.bounds) {
-            let last = s + (count - 1) * d;
-            if s.min(last) < lo || s.max(last) > hi {
+        let mut base = 0i64;
+        let mut stride = 1i64;
+        for p in (0..sub_box.len()).rev() {
+            let ((slo, shi), (lo, hi)) = (sub_box[p], g.bounds[p]);
+            if slo < lo || shi > hi {
                 return None;
             }
-            let extent = hi - lo + 1;
-            flat = flat * extent + (s - lo);
-            flat_delta = flat_delta * extent + d;
+            mult[p] = stride;
+            base -= lo * stride;
+            stride *= hi - lo + 1;
         }
-        Some((flat, flat_delta))
+        Some(base)
     }
 
     fn read_flat(&mut self, route: usize, flat: i64) -> f64 {
@@ -444,7 +424,6 @@ fn execute_mapped_kernel_cached(
     if trips.iter().any(|&t| t <= 0) {
         return Ok(stats);
     }
-    let tiles = mapping.tiles.sizes();
     let time_dims: Vec<usize> = (0..depth)
         .filter(|&d| kernel.dims[d].explicit_serial)
         .collect();
@@ -477,15 +456,8 @@ fn execute_mapped_kernel_cached(
     // Choose the execution core once per kernel: staged reads resolve to
     // their route here, at compile time, instead of a group search per
     // read per point.
-    let use_plan = match opts.engine {
-        ExecEngine::Reference => false,
-        ExecEngine::Plan => true,
-        ExecEngine::Auto => {
-            trips.iter().product::<i64>() >= AUTO_PLAN_THRESHOLD_EMULATOR_POINTS
-        }
-    };
     let owned: Option<ExecPlan>;
-    let exec: Option<&ExecPlan> = if !use_plan {
+    let exec: Option<&ExecPlan> = if opts.engine == ExecEngine::Reference {
         None
     } else {
         match cache {
@@ -528,7 +500,6 @@ fn execute_mapped_kernel_cached(
             kernel,
             mapping,
             &trips,
-            tiles,
             &time_dims,
             &tvals,
             &serial_dims,
@@ -567,7 +538,6 @@ fn run_launch(
     kernel: &Kernel,
     mapping: &GpuMapping,
     trips: &[i64],
-    tiles: &[i64],
     time_dims: &[usize],
     tvals: &[i64],
     serial_dims: &[usize],
@@ -582,16 +552,23 @@ fn run_launch(
         launches: 1,
         ..ExecStats::default()
     };
+    // The tile step's point box: inclusive per-dim value ranges, the
+    // `min` boundary guards of the generated code applied.
+    let tiles = mapping.tiles.sizes();
+    let tile_range = |d: usize, index: i64| {
+        let origin = index * tiles[d];
+        (origin, (origin + tiles[d]).min(trips[d]) - 1)
+    };
+    let mut ranges = vec![(0i64, 0i64); kernel.depth()];
+    for (&d, &t) in time_dims.iter().zip(tvals) {
+        ranges[d] = (t, t);
+    }
     let mut block = vec![0i64; mapping.grid_extents.len()];
     'blocks: loop {
         stats.blocks += 1;
-        // Tile origins along mapped dims for this block.
-        let origins: Vec<i64> = mapping
-            .mapped_dims
-            .iter()
-            .enumerate()
-            .map(|(pos, &d)| block[pos] * tiles[d])
-            .collect();
+        for (&d, &b) in mapping.mapped_dims.iter().zip(&block) {
+            ranges[d] = tile_range(d, b);
+        }
         // Reset persistent buffers per block (shared memory has block
         // lifetime; contents start undefined — zeros here, which the
         // skip-barrier mode deliberately observes).
@@ -602,21 +579,14 @@ fn run_launch(
         // Serial tile loop (lexicographic over serial-dim tile indices).
         let mut step = vec![0i64; serial_dims.len()];
         loop {
-            let sorigins: Vec<i64> = serial_dims
-                .iter()
-                .zip(&step)
-                .map(|(&d, &s)| s * tiles[d])
-                .collect();
+            for (&d, &s) in serial_dims.iter().zip(&step) {
+                ranges[d] = tile_range(d, s);
+            }
             run_step(
                 kernel,
                 mapping,
-                trips,
-                tiles,
-                time_dims,
-                tvals,
                 serial_dims,
-                &sorigins,
-                &origins,
+                &ranges,
                 thread_coords,
                 exec,
                 scratch,
@@ -658,18 +628,14 @@ fn run_launch(
     Ok(stats)
 }
 
-/// One serial tile step inside one block: staging phase, barrier, compute.
+/// One serial tile step inside one block over its point box `ranges`:
+/// staging phase, barrier, compute.
 #[allow(clippy::too_many_arguments)]
 fn run_step(
     kernel: &Kernel,
     mapping: &GpuMapping,
-    trips: &[i64],
-    tiles: &[i64],
-    time_dims: &[usize],
-    tvals: &[i64],
     serial_dims: &[usize],
-    sorigins: &[i64],
-    origins: &[i64],
+    ranges: &[(i64, i64)],
     thread_coords: &[Vec<i64>],
     exec: Option<&ExecPlan>,
     scratch: &mut RowScratch,
@@ -678,19 +644,6 @@ fn run_step(
     opts: &ExecOptions,
     stats: &mut ExecStats,
 ) -> Result<(), ExecError> {
-    let depth = kernel.depth();
-    // Per-dim value ranges for the staging box.
-    let mut ranges = vec![(0i64, 0i64); depth];
-    for (i, &d) in time_dims.iter().enumerate() {
-        ranges[d] = (tvals[i], tvals[i]);
-    }
-    for (i, &d) in serial_dims.iter().enumerate() {
-        ranges[d] = (sorigins[i], (sorigins[i] + tiles[d]).min(trips[d]) - 1);
-    }
-    for (pos, &d) in mapping.mapped_dims.iter().enumerate() {
-        ranges[d] = (origins[pos], (origins[pos] + tiles[d]).min(trips[d]) - 1);
-    }
-
     // --- staging phase ------------------------------------------------------
     for g in staged.iter_mut() {
         let nsubs = g.representative.subscripts.len();
@@ -746,11 +699,30 @@ fn run_step(
     }
 
     // --- compute phase ------------------------------------------------------
-    let mut point = vec![0i64; depth];
-    for (i, &d) in time_dims.iter().enumerate() {
-        point[d] = tvals[i];
+    // Every thread's points lie in the step's tile box, so each access is
+    // proven once here, not once per row.
+    if let Some(plan) = exec {
+        let mut router = StagedRouter {
+            staged,
+            kernel: &kernel.name,
+            failure: None,
+        };
+        plan.linearize(ranges, scratch, &mut router);
     }
-    for (tl, coord) in thread_coords.iter().enumerate() {
+    // Serial point loops (dim order), then each thread's mapped cyclic
+    // point loops (outermost first, x innermost) — the loop structure of
+    // the generated kernel — with singleton loops folded into `point`.
+    let mut point: Vec<i64> = ranges.iter().map(|&(lo, _)| lo).collect();
+    let mut loops: Vec<(usize, i64, i64)> = Vec::with_capacity(point.len());
+    for &d in serial_dims {
+        let count = ranges[d].1 - ranges[d].0 + 1;
+        if count != 1 {
+            loops.push((d, count, 1));
+        }
+    }
+    let serial_loops = loops.len();
+    let serial_points: i64 = loops.iter().map(|&(_, count, _)| count).product();
+    'threads: for (tl, coord) in thread_coords.iter().enumerate() {
         if opts.barrier_fidelity == BarrierFidelity::SkipLoadBarrier {
             // This thread loads only its cyclic share before computing.
             let nthreads = thread_coords.len();
@@ -772,17 +744,50 @@ fn run_step(
                 }
             }
         }
-        // Serial point loops (dim order), then mapped cyclic point loops —
-        // the loop structure of the generated kernel.
+        loops.truncate(serial_loops);
+        let mut points = serial_points;
+        for pos in (0..mapping.mapped_dims.len()).rev() {
+            let d = mapping.mapped_dims[pos];
+            let step = mapping.thread_extents[pos];
+            let start = ranges[d].0 + coord[pos];
+            if start > ranges[d].1 {
+                continue 'threads; // this thread has no point in the tile
+            }
+            let count = (ranges[d].1 - start) / step + 1;
+            point[d] = start;
+            if count != 1 {
+                loops.push((d, count, step));
+            }
+            points *= count;
+        }
+        stats.points += points as u64;
         let mut router = StagedRouter {
             staged,
             kernel: &kernel.name,
             failure: None,
         };
-        run_thread_points(
-            kernel, mapping, trips, tiles, serial_dims, sorigins, origins, coord, &mut point,
-            0, exec, scratch, &mut router, store, stats,
-        )?;
+        match exec {
+            Some(plan) => plan.exec_nest(store, &mut point, &loops, scratch, &mut router),
+            None => {
+                let (staged, failure) = (router.staged, &mut router.failure);
+                let mut hook = |r: &ArrayRef, idx: &[i64]| -> Option<f64> {
+                    let g = &staged[route_of(staged, r)?];
+                    Some(match g.flatten(idx) {
+                        Some(flat) => g.data[flat],
+                        None => {
+                            failure.get_or_insert_with(|| out_of_box(&kernel.name, &r.array, idx));
+                            0.0
+                        }
+                    })
+                };
+                walk_nest(&mut point, &loops, &mut |p: &[i64]| {
+                    exec_point_hooked(kernel, store, p, &mut hook)
+                });
+            }
+        }
+        if let Some(e) = router.failure {
+            return Err(e);
+        }
     }
     if !staged.is_empty() {
         stats.barriers += 1; // barrier after the compute phase
@@ -790,175 +795,21 @@ fn run_step(
     Ok(())
 }
 
-/// Recursively enumerates this thread's points: serial point dims first
-/// (in dim order), then the mapped dims' cyclic loops (x innermost), and
-/// executes the kernel statements at each point through the chosen engine
-/// (staged reads pre-routed by the plan, or the reference staging hook).
-/// Classification of the mapped cyclic loops strictly inside position
-/// `below` for one thread: do they contribute no point at all, exactly
-/// one (coordinates assigned into `point`), or more than one?
-enum InnerLoops {
-    Empty,
-    Singleton,
-    Multi,
-}
-
-fn inner_mapped_loops(
-    mapping: &GpuMapping,
-    tiles: &[i64],
-    trips: &[i64],
-    origins: &[i64],
-    coord: &[i64],
-    point: &mut [i64],
-    below: usize,
-) -> InnerLoops {
-    for pos in (0..below).rev() {
-        let d = mapping.mapped_dims[pos];
-        let end = (origins[pos] + tiles[d]).min(trips[d]);
-        let start = origins[pos] + coord[pos];
-        if start >= end {
-            return InnerLoops::Empty;
-        }
-        if start + mapping.thread_extents[pos] < end {
-            return InnerLoops::Multi;
-        }
-        point[d] = start;
-    }
-    InnerLoops::Singleton
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_thread_points(
-    kernel: &Kernel,
-    mapping: &GpuMapping,
-    trips: &[i64],
-    tiles: &[i64],
-    serial_dims: &[usize],
-    sorigins: &[i64],
-    origins: &[i64],
-    coord: &[i64],
-    point: &mut Vec<i64>,
-    level: usize,
-    exec: Option<&ExecPlan>,
-    scratch: &mut RowScratch,
-    router: &mut StagedRouter<'_, '_>,
-    store: &mut Store,
-    stats: &mut ExecStats,
-) -> Result<(), ExecError> {
-    if level < serial_dims.len() {
-        let d = serial_dims[level];
-        let end = (sorigins[level] + tiles[d]).min(trips[d]);
-        if level + 1 == serial_dims.len() {
-            // When every mapped cyclic loop is a singleton for this
-            // thread (tile extent ≤ thread extent), the innermost serial
-            // point loop is the hot loop: run it as a plan row.
-            if let Some(plan) = exec {
-                match inner_mapped_loops(mapping, tiles, trips, origins, coord, point, mapping.mapped_dims.len()) {
-                    InnerLoops::Empty => return Ok(()),
-                    InnerLoops::Singleton => {
-                        let count = end - sorigins[level];
-                        if count > 0 {
-                            stats.points += count as u64;
-                            point[d] = sorigins[level];
-                            plan.exec_row_routed(store, point, d, count, 1, scratch, router);
-                            if let Some(e) = router.failure.take() {
-                                return Err(e);
-                            }
-                        }
-                        return Ok(());
-                    }
-                    InnerLoops::Multi => {}
-                }
+/// Visits every point of a loop nest in lexicographic order — the
+/// reference engine's counterpart of
+/// [`ExecPlan::exec_nest`](eatss_affine::plan::ExecPlan::exec_nest),
+/// with the same `(dim, count, step)` loops, restoring `point`.
+fn walk_nest(point: &mut [i64], loops: &[(usize, i64, i64)], visit: &mut impl FnMut(&[i64])) {
+    match *loops {
+        [] => visit(point),
+        [(dim, count, step), ref inner @ ..] => {
+            let start = point[dim];
+            for i in 0..count {
+                point[dim] = start + i * step;
+                walk_nest(point, inner, visit);
             }
+            point[dim] = start;
         }
-        let mut v = sorigins[level];
-        while v < end {
-            point[d] = v;
-            run_thread_points(
-                kernel, mapping, trips, tiles, serial_dims, sorigins, origins, coord, point,
-                level + 1, exec, scratch, router, store, stats,
-            )?;
-            v += 1;
-        }
-        return Ok(());
-    }
-    // Mapped dims, outermost last-mapped first, x (pos 0) innermost.
-    let m = level - serial_dims.len();
-    if m < mapping.mapped_dims.len() {
-        let pos = mapping.mapped_dims.len() - 1 - m;
-        let d = mapping.mapped_dims[pos];
-        let end = (origins[pos] + tiles[d]).min(trips[d]);
-        let step = mapping.thread_extents[pos];
-        let start = origins[pos] + coord[pos];
-        // This cyclic loop is the innermost one that iterates when every
-        // loop inside it is a singleton for this thread: run it as a
-        // plan row (point-loop multiplicity > 1, or the x loop itself).
-        if let Some(plan) = exec {
-            match inner_mapped_loops(mapping, tiles, trips, origins, coord, point, pos) {
-                InnerLoops::Empty => return Ok(()),
-                InnerLoops::Singleton => {
-                    let count = if start < end { (end - start + step - 1) / step } else { 0 };
-                    if count > 0 {
-                        stats.points += count as u64;
-                        point[d] = start;
-                        plan.exec_row_routed(store, point, d, count, step, scratch, router);
-                        if let Some(e) = router.failure.take() {
-                            return Err(e);
-                        }
-                    }
-                    return Ok(());
-                }
-                InnerLoops::Multi => {}
-            }
-        }
-        let mut v = start;
-        while v < end {
-            point[d] = v;
-            run_thread_points(
-                kernel, mapping, trips, tiles, serial_dims, sorigins, origins, coord, point,
-                level + 1, exec, scratch, router, store, stats,
-            )?;
-            v += mapping.thread_extents[pos];
-        }
-        return Ok(());
-    }
-    // A full point: execute every statement through the chosen engine.
-    stats.points += 1;
-    match exec {
-        Some(plan) => plan.exec_point_routed(store, point, router),
-        None => {
-            let staged_ref = router.staged;
-            let mut failure: Option<ExecError> = None;
-            {
-                let kernel_name = router.kernel;
-                let mut hook = |r: &ArrayRef, idx: &[i64]| -> Option<f64> {
-                    let g = staged_ref
-                        .iter()
-                        .find(|g| g.array == r.array && same_group(g.representative, r))?;
-                    match g.flatten(idx) {
-                        Some(flat) => Some(g.data[flat]),
-                        None => {
-                            if failure.is_none() {
-                                failure = Some(ExecError::StagedReadOutOfBox {
-                                    kernel: kernel_name.to_owned(),
-                                    array: r.array.clone(),
-                                    index: idx.to_vec(),
-                                });
-                            }
-                            Some(0.0)
-                        }
-                    }
-                };
-                exec_point_hooked(kernel, store, point, &mut hook);
-            }
-            if let Some(e) = failure {
-                router.failure.get_or_insert(e);
-            }
-        }
-    }
-    match router.failure.take() {
-        Some(e) => Err(e),
-        None => Ok(()),
     }
 }
 
@@ -1120,10 +971,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_engine_is_correct_on_both_sides_of_the_threshold() {
-        // 9·10·7 = 630 points resolves to the reference walker,
-        // 13·13·13 = 2197 to the compiled plan; both must match the
-        // interpreter bitwise, so `Auto` is purely a performance knob.
+    fn default_engine_matches_interpreter_on_small_and_large_domains() {
+        // 630 and 2197 points: tiny domains run on the compiled plan too
+        // and must match the interpreter bitwise.
         for sizes in [
             &[("M", 9), ("N", 10), ("P", 7)][..],
             &[("M", 13), ("N", 13), ("P", 13)][..],
@@ -1133,7 +983,7 @@ mod tests {
                 emulate(MM, vec![4, 4, 4], sizes, &ExecOptions::default());
             assert!(
                 compare_stores(&emul, &reference).is_empty(),
-                "{points} points: auto engine diverges from interpreter"
+                "{points} points: default engine diverges from interpreter"
             );
             assert_eq!(stats.points as i64, points);
         }
@@ -1203,7 +1053,11 @@ mod tests {
                     .mappings
             })
             .collect();
-        for opts in [plan_opts(), ExecOptions::default()] {
+        let ref_opts = ExecOptions {
+            engine: ExecEngine::Reference,
+            ..ExecOptions::default()
+        };
+        for opts in [plan_opts(), ref_opts] {
             let mut batched: Vec<Store> = configs
                 .iter()
                 .map(|_| seed_store(&p, &sizes, 42).unwrap())
@@ -1219,6 +1073,35 @@ mod tests {
                 );
                 assert_eq!(result.unwrap(), solo_stats, "stats diverge");
             }
+        }
+    }
+
+    /// Narrowing a staged group's fastest-subscript span shrinks its box
+    /// below the tile's reads: both engines must report the same first
+    /// out-of-box read, whichever end of the box is cut.
+    #[test]
+    fn staged_read_out_of_box_is_reported_identically_by_both_engines() {
+        let p = parse_program(MM).unwrap();
+        let sizes = ProblemSizes::new([("M", 8), ("N", 8), ("P", 8)]);
+        let compiled = crate::Ppcg::new(GpuArch::ga100())
+            .compile(&p, &eatss_affine::tiling::TileConfig::new(vec![4, 4, 4]), &sizes, &CompileOptions::default())
+            .unwrap();
+        for narrow in [(1, 0), (0, -1)] {
+            let mut mappings = compiled.mappings.clone();
+            let staged = mappings[0].refs.iter_mut().find(|r| r.staged).expect("A is staged");
+            let (lo, hi) = staged.group.fastest_offsets;
+            staged.group.fastest_offsets = (lo + narrow.0, hi + narrow.1);
+            let run = |engine| {
+                let mut store = seed_store(&p, &sizes, 42).unwrap();
+                let opts = ExecOptions {
+                    engine,
+                    ..ExecOptions::default()
+                };
+                execute_compiled(&p, &mappings, &sizes, &mut store, &opts).unwrap_err()
+            };
+            let plan = run(ExecEngine::Plan);
+            assert!(matches!(plan, ExecError::StagedReadOutOfBox { .. }), "{plan}");
+            assert_eq!(plan, run(ExecEngine::Reference), "narrowed by {narrow:?}");
         }
     }
 

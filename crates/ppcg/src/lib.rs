@@ -51,8 +51,7 @@ pub mod space;
 
 pub use exec::{
     execute_compiled, execute_compiled_batch, execute_mapped_kernel, BarrierFidelity, ExecEngine,
-    ExecError, ExecOptions, ExecStats, AUTO_PLAN_THRESHOLD_EMULATOR_POINTS,
-    AUTO_PLAN_THRESHOLD_POINTS,
+    ExecError, ExecOptions, ExecStats,
 };
 pub use mapping::{CompileError, CompileOptions, GpuMapping};
 pub use oracle::{

@@ -6,7 +6,7 @@
 //! solve → map → codegen semantics → emulate, compared against the
 //! reference interpreter on the same deterministically seeded inputs.
 
-use crate::exec::{execute_compiled, ExecError, ExecOptions};
+use crate::exec::{execute_compiled, ExecError, ExecOptions, ExecStats};
 use crate::mapping::{CompileError, CompileOptions};
 use crate::Ppcg;
 use eatss_affine::interp::{compare_stores, run_program, InterpError, Store, StoreMismatch};
@@ -34,7 +34,7 @@ impl OracleOptions {
 }
 
 /// What a successful verification covered.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleReport {
     /// Kernels executed.
     pub kernels: u64,
@@ -191,6 +191,20 @@ pub fn verify(
     run_program(program, sizes, &mut reference)?;
 
     let mismatches = compare_stores(&emulated, &reference);
+    judge(program, tiles, &stats, mismatches, &reference, options)
+}
+
+/// The verdict on one emulated configuration, with its trace counters
+/// and error log: a report when `mismatches` is empty, else
+/// [`OracleError::Mismatch`] keeping the first few.
+fn judge(
+    program: &Program,
+    tiles: &TileConfig,
+    stats: &ExecStats,
+    mismatches: Vec<StoreMismatch>,
+    reference: &Store,
+    options: &OracleOptions,
+) -> Result<OracleReport, OracleError> {
     eatss_trace::counter_add("oracle.points", stats.points);
     eatss_trace::counter_add("oracle.configs", 1);
     if !mismatches.is_empty() {
@@ -215,7 +229,6 @@ pub fn verify(
             total,
         });
     }
-    let arrays = reference.arrays().count() as u64;
     Ok(OracleReport {
         kernels: program.kernels.len() as u64,
         launches: stats.launches,
@@ -223,19 +236,25 @@ pub fn verify(
         points: stats.points,
         barriers: stats.barriers,
         staged_elems: stats.staged_elems,
-        arrays_compared: arrays,
+        arrays_compared: reference.arrays().count() as u64,
     })
 }
 
 /// [`verify`] over many tile configurations at once, sharing the
 /// expensive invariants across the batch: the reference interpretation
-/// runs once (it does not depend on tiles), and the emulator executes
-/// through [`execute_compiled_batch`], which compiles each distinct
-/// per-kernel route signature once instead of once per configuration.
+/// runs once (it does not depend on tiles), each distinct configuration
+/// compiles and emulates once (a repeated one copies its twin's verdict:
+/// emulation is a pure function of program, tiles, sizes and seed), and
+/// the emulator executes through
+/// [`execute_compiled_batch`](crate::exec::execute_compiled_batch), which
+/// compiles each distinct per-kernel route signature once instead of
+/// once per configuration.
 ///
 /// Returns one `Result` per configuration, in order, with exactly the
-/// same verdicts, reports, and trace counters [`verify`] would produce
-/// config-by-config.
+/// same verdicts, reports, `oracle.*` trace counters and error logs
+/// [`verify`] would produce config-by-config. The emulator's own
+/// `exec.*` counters count executions, so a repeated configuration adds
+/// to them once.
 pub fn verify_batch(
     program: &Program,
     configs: &[TileConfig],
@@ -250,27 +269,36 @@ pub fn verify_batch(
         span.arg("configs", configs.len() as u64);
         span.arg("seed", seed);
     }
-    // Compile every config first; only mappable ones enter the batch.
-    let ppcg = Ppcg::new(arch.clone());
-    let compiled: Vec<Result<Vec<crate::GpuMapping>, OracleError>> = configs
+    // Each configuration's first occurrence; only those compile, and only
+    // the mappable ones enter the emulated batch.
+    let twin: Vec<usize> = configs
         .iter()
-        .map(|tiles| {
-            ppcg.compile(program, tiles, sizes, &options.compile)
-                .map(|c| c.mappings)
-                .map_err(OracleError::from)
+        .enumerate()
+        .map(|(i, tiles)| configs[..i].iter().position(|t| t == tiles).unwrap_or(i))
+        .collect();
+    let ppcg = Ppcg::new(arch.clone());
+    let mut compiled: Vec<Option<Result<Vec<crate::GpuMapping>, OracleError>>> = twin
+        .iter()
+        .enumerate()
+        .map(|(i, &first)| {
+            (i == first).then(|| {
+                ppcg.compile(program, &configs[i], sizes, &options.compile)
+                    .map(|c| c.mappings)
+                    .map_err(OracleError::from)
+            })
         })
         .collect();
 
     let mut stores = Vec::new();
     let mut mappable: Vec<usize> = Vec::new();
     let mut batch_configs: Vec<Vec<crate::GpuMapping>> = Vec::new();
-    for (i, c) in compiled.iter().enumerate() {
-        if let Ok(mappings) = c {
+    for (i, c) in compiled.iter_mut().enumerate() {
+        if let Some(Ok(mappings)) = c {
             match seed_store(program, sizes, seed) {
                 Ok(store) => {
                     stores.push(store);
                     mappable.push(i);
-                    batch_configs.push(mappings.clone());
+                    batch_configs.push(std::mem::take(mappings));
                 }
                 Err(e) => return configs.iter().map(|_| Err(e.clone().into())).collect(),
             }
@@ -296,55 +324,28 @@ pub fn verify_batch(
         &options.exec,
     );
 
-    let mut results: Vec<Result<OracleReport, OracleError>> = compiled
-        .into_iter()
-        .map(|c| c.map(|_| OracleReport::default()))
+    // Per mappable configuration: its emulation outcome and its
+    // mismatches against the reference.
+    let emulated: Vec<_> = stores
+        .iter()
+        .zip(stats)
+        .map(|(store, stat)| stat.map(|stats| (stats, compare_stores(store, &reference))))
         .collect();
-    let arrays = reference.arrays().count() as u64;
-    for ((&i, store), stat) in mappable.iter().zip(&stores).zip(stats) {
-        let tiles = &configs[i];
-        results[i] = match stat {
-            Err(e) => Err(e.into()),
-            Ok(stats) => {
-                let mismatches = compare_stores(store, &reference);
-                eatss_trace::counter_add("oracle.points", stats.points);
-                eatss_trace::counter_add("oracle.configs", 1);
-                if mismatches.is_empty() {
-                    Ok(OracleReport {
-                        kernels: program.kernels.len() as u64,
-                        launches: stats.launches,
-                        blocks: stats.blocks,
-                        points: stats.points,
-                        barriers: stats.barriers,
-                        staged_elems: stats.staged_elems,
-                        arrays_compared: arrays,
-                    })
-                } else {
-                    eatss_trace::counter_add("oracle.mismatches", mismatches.len() as u64);
-                    eatss_trace::error!(
-                        "oracle: {}: tiles {} disagree on {} element(s)",
-                        program.name,
-                        tiles,
-                        mismatches.len()
-                    );
-                    let keep = if options.max_mismatches == 0 {
-                        OracleOptions::DEFAULT_MAX_MISMATCHES
-                    } else {
-                        options.max_mismatches
-                    };
-                    let total = mismatches.len();
-                    let mut kept = mismatches;
-                    kept.truncate(keep);
-                    Err(OracleError::Mismatch {
-                        tiles: tiles.to_string(),
-                        mismatches: kept,
-                        total,
-                    })
+    twin.iter()
+        .zip(configs)
+        .map(|(&first, tiles)| {
+            if let Some(Err(e)) = &compiled[first] {
+                return Err(e.clone());
+            }
+            let ran = mappable.iter().position(|&i| i == first).expect("mappable configs run");
+            match &emulated[ran] {
+                Err(e) => Err(e.clone().into()),
+                Ok((stats, mismatches)) => {
+                    judge(program, tiles, stats, mismatches.clone(), &reference, options)
                 }
             }
-        };
-    }
-    results
+        })
+        .collect()
 }
 
 /// Shrinks problem sizes so exhaustive interpretation stays fast: spatial

@@ -9,8 +9,10 @@
 
 use eatss::{Eatss, EatssConfig, SolutionProvenance, SweepOptions};
 use eatss_affine::parser::parse_program;
+use eatss_affine::tiling::TileConfig;
 use eatss_affine::{ProblemSizes, Program};
 use eatss_gpusim::GpuArch;
+use eatss_ppcg::{verify, verify_batch, BarrierFidelity, ExecOptions, OracleError, OracleOptions};
 use eatss_trace::{EventKind, Provenance};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -195,6 +197,66 @@ fn full_pipeline_trace_covers_solve_codegen_simulate() {
         .and_then(|v| v.get("provenance"))
         .and_then(|v| v.get("git_sha"))
         .is_some());
+}
+
+/// `verify_batch` emulates a repeated tile configuration once and copies
+/// its verdict: results, reports and `oracle.*` counters equal
+/// independent `verify` calls config by config, while `exec.points`
+/// counts executions. Covered under both barrier fidelities, so copied
+/// mismatch verdicts are checked too.
+#[test]
+fn verify_batch_with_repeated_configs_matches_independent_verify() {
+    let _guard = session();
+    let program = mm();
+    let sz = sizes(9, 10, 7);
+    let arch = GpuArch::ga100();
+    let configs: Vec<TileConfig> = [
+        vec![32, 32, 32],
+        vec![4, 4, 4],
+        vec![32, 32, 32],
+        vec![3, 5, 2],
+        vec![4, 4, 4],
+    ]
+    .into_iter()
+    .map(TileConfig::new)
+    .collect();
+    for barrier_fidelity in [BarrierFidelity::Faithful, BarrierFidelity::SkipLoadBarrier] {
+        let options = OracleOptions {
+            exec: ExecOptions {
+                barrier_fidelity,
+                ..ExecOptions::default()
+            },
+            ..OracleOptions::default()
+        };
+        eatss_trace::start_collecting();
+        let solo: Vec<_> = configs
+            .iter()
+            .map(|tiles| verify(&program, tiles, &arch, &sz, &options, 7))
+            .collect();
+        let solo_trace = eatss_trace::drain(Provenance::collect(None));
+        eatss_trace::start_collecting();
+        let batch = verify_batch(&program, &configs, &arch, &sz, &options, 7);
+        let batch_trace = eatss_trace::drain(Provenance::collect(None));
+
+        assert_eq!(batch, solo, "{barrier_fidelity:?}: verdicts diverge");
+        assert_eq!(
+            barrier_fidelity == BarrierFidelity::SkipLoadBarrier,
+            batch
+                .iter()
+                .any(|r| matches!(r, Err(OracleError::Mismatch { .. }))),
+            "only the barrier-less emulation may mismatch"
+        );
+        for counter in ["oracle.points", "oracle.configs", "oracle.mismatches"] {
+            assert_eq!(
+                batch_trace.metrics.counter(counter),
+                solo_trace.metrics.counter(counter),
+                "{barrier_fidelity:?}: `{counter}` diverges"
+            );
+        }
+        // Three distinct configurations of five, each 9·10·7 points.
+        assert_eq!(solo_trace.metrics.counter("exec.points"), 5 * 630);
+        assert_eq!(batch_trace.metrics.counter("exec.points"), 3 * 630);
+    }
 }
 
 proptest! {
